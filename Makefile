@@ -15,7 +15,7 @@ test:
 # data-parallel trainer, fault injector, metrics registry, checkpoint
 # codec, chaos-training sweep).
 race:
-	$(GO) test -race ./internal/pipeline/... ./internal/iosim/... ./internal/dataserve/... ./internal/dist/... ./internal/train/... ./internal/fault/... ./internal/obs/... ./internal/nn/... ./cmd/chaostrain/... ./cmd/chaosloader/... ./cmd/dataserve/... ./cmd/overload/... ./cmd/scenarios/...
+	$(GO) test -race ./internal/pipeline/... ./internal/iosim/... ./internal/codec/... ./internal/fp16/... ./internal/dataserve/... ./internal/dist/... ./internal/train/... ./internal/fault/... ./internal/obs/... ./internal/nn/... ./cmd/chaostrain/... ./cmd/chaosloader/... ./cmd/dataserve/... ./cmd/overload/... ./cmd/scenarios/...
 
 # Fault-injection and resilience suite: injector determinism, retry/backoff,
 # skip quotas, the end-to-end faulted DeepCAM acceptance run, the elastic
@@ -49,14 +49,16 @@ cover:
 
 # Short fuzz smoke over every codec fuzz target: seeds plus a few seconds
 # of exploration each. `go test -fuzz` takes one target at a time, so loop.
-# The pipeline's cache-integrity fuzzer lives in its own package, so it
-# gets its own invocation after the codec loop.
+# The deltafp kernel's differential fuzzer and the pipeline's and data
+# service's fuzzers live in their own packages, so each gets its own
+# invocation after the codec loop.
 FUZZ_TARGETS = FuzzFormatsOpenDecode FuzzDeltaFPRoundTrip FuzzLUTRoundTrip \
 	FuzzRawCosmoRoundTrip FuzzRawDeepCAMRoundTrip FuzzZfpcRoundTrip
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run=NONE -fuzz="^$$t$$" -fuzztime=10s ./internal/codec/ || exit 1; \
 	done
+	$(GO) test -run=NONE -fuzz='^FuzzDeltaLineDifferential$$' -fuzztime=10s ./internal/codec/deltafp/
 	$(GO) test -run=NONE -fuzz='^FuzzCacheIntegrity$$' -fuzztime=10s ./internal/pipeline/
 	$(GO) test -run=NONE -fuzz='^FuzzTenantCache$$' -fuzztime=10s ./internal/dataserve/
 	$(GO) test -run=NONE -fuzz='^FuzzBreakerState$$' -fuzztime=10s ./internal/dataserve/

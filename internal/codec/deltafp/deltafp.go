@@ -359,35 +359,45 @@ func Format() codec.Format { return format{} }
 
 func (format) Name() string { return "deltafp" }
 
+// HeaderError reports a blob header that cannot describe a decodable
+// sample: too short, wrong magic, a zero or oversized dimension, an
+// out-of-range exponent width, or more lines than the blob has room to
+// index.
+type HeaderError struct {
+	Reason string
+}
+
+// Error implements error.
+func (e *HeaderError) Error() string { return "deltafp: invalid header: " + e.Reason }
+
 func (format) Open(blob []byte) (codec.ChunkDecoder, error) {
 	const headerLen = 20
 	if len(blob) < headerLen {
-		return nil, errors.New("deltafp: blob too short")
+		return nil, &HeaderError{Reason: fmt.Sprintf("blob of %d bytes is shorter than the header", len(blob))}
 	}
 	if binary.LittleEndian.Uint32(blob[0:]) != blobMagic {
-		return nil, errors.New("deltafp: bad magic")
+		return nil, &HeaderError{Reason: "bad magic"}
 	}
-	c := int(binary.LittleEndian.Uint32(blob[4:]))
-	h := int(binary.LittleEndian.Uint32(blob[8:]))
-	w := int(binary.LittleEndian.Uint32(blob[12:]))
-	expBits := int(binary.LittleEndian.Uint32(blob[16:]))
-	if c <= 0 || h <= 0 || w <= 0 || expBits < 1 || expBits > 6 {
-		return nil, fmt.Errorf("deltafp: invalid header C=%d H=%d W=%d expBits=%d", c, h, w, expBits)
+	// Bound every dimension before multiplying any two: C*H lines need an
+	// offset table of 4*(C*H+1) bytes, so neither C nor H nor their product
+	// may exceed what the blob can index. That also bounds the decoded size
+	// at 2*W bytes per 4 blob bytes, which caps any allocation a hostile
+	// header can ask for.
+	c := uint64(binary.LittleEndian.Uint32(blob[4:]))
+	h := uint64(binary.LittleEndian.Uint32(blob[8:]))
+	w := uint64(binary.LittleEndian.Uint32(blob[12:]))
+	expBits := binary.LittleEndian.Uint32(blob[16:])
+	if c == 0 || h == 0 || w == 0 || expBits < 1 || expBits > 6 {
+		return nil, &HeaderError{Reason: fmt.Sprintf("C=%d H=%d W=%d expBits=%d", c, h, w, expBits)}
 	}
 	if w > math.MaxUint16 {
-		return nil, fmt.Errorf("deltafp: line width %d exceeds format limit", w)
+		return nil, &HeaderError{Reason: fmt.Sprintf("line width %d exceeds format limit", w)}
 	}
-	// Allocation guard against corrupt headers: the densest legitimate
-	// encoding (CONST lines) expands 5 payload bytes into 2*w output bytes,
-	// so the decoded size can never exceed ~2*w/5 of the blob.
-	if outBytes := 2 * c * h * w; outBytes/(2*math.MaxUint16) > len(blob) {
-		return nil, fmt.Errorf("deltafp: header implies %d output bytes from a %d-byte blob", outBytes, len(blob))
+	if entries := uint64(len(blob)-headerLen) / 4; c >= entries || h > (entries-1)/c {
+		return nil, &HeaderError{Reason: fmt.Sprintf("C=%d H=%d lines do not fit a %d-byte blob", c, h, len(blob))}
 	}
-	nLines := c * h
+	nLines := int(c * h)
 	need := headerLen + 4*(nLines+1)
-	if len(blob) < need {
-		return nil, errors.New("deltafp: truncated offset table")
-	}
 	d := getDecoder(nLines + 1)
 	offsets := d.offsets
 	for i := range offsets {
@@ -404,8 +414,8 @@ func (format) Open(blob []byte) (codec.ChunkDecoder, error) {
 			return nil, errors.New("deltafp: non-monotonic offsets")
 		}
 	}
-	d.c, d.h, d.w = c, h, w
-	d.mantBits = 7 - expBits
+	d.c, d.h, d.w = int(c), int(h), int(w)
+	d.mantBits = 7 - int(expBits)
 	d.payload = payload
 	d.blobLen = len(blob)
 	if err := d.profile(); err != nil {
@@ -474,6 +484,9 @@ func (d *Decoder) profile() error {
 			}
 			d.nConst++
 		case modeDelta:
+			if len(line) < 3 {
+				return fmt.Errorf("deltafp: delta line %d has %d bytes", l, len(line))
+			}
 			d.nDelta++
 		default:
 			return fmt.Errorf("deltafp: line %d has unknown mode %d", l, line[0])
@@ -507,6 +520,8 @@ func (d *Decoder) Workload() codec.Workload {
 }
 
 // DecodeChunk implements codec.ChunkDecoder, decoding line chunk into dst.
+//
+//scipp:hotpath
 func (d *Decoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 	if chunk < 0 || chunk >= d.c*d.h {
 		return fmt.Errorf("deltafp: chunk %d out of range", chunk)
@@ -514,63 +529,101 @@ func (d *Decoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 	if dst.DT != tensor.F16 || !dst.Shape.Equal(d.OutputShape()) {
 		return fmt.Errorf("deltafp: dst must be F16 %v", d.OutputShape())
 	}
-	out := dst.F16s[chunk*d.w : (chunk+1)*d.w]
-	line := d.payload[d.offsets[chunk]:d.offsets[chunk+1]]
+	return d.decodeLine(chunk, dst.F16s[chunk*d.w:], 1)
+}
+
+// deltaSignMant and deltaExpOff split every delta byte, for each mantissa
+// width m = 1..6, into its sign and mantissa bits already in FP32 position
+// and its exponent offset, so a delta is one OR and one add away from its
+// FP32 bits: signMant[b] | (minExp+expOff[b])<<23. The exponent sum is not
+// masked, which keeps the format's original semantics for a hostile
+// minExp+offset >= 256 (it spills into the sign bit and wraps).
+var deltaSignMant, deltaExpOff = deltaTables()
+
+func deltaTables() (signMant, expOff [7][256]uint32) {
+	for m := 1; m <= 6; m++ {
+		for b := uint32(0); b < 256; b++ {
+			signMant[m][b] = b>>7<<31 | (b&(1<<m-1))<<(23-m)
+			expOff[m][b] = b >> m & (1<<(7-m) - 1)
+		}
+	}
+	return signMant, expOff
+}
+
+// negZero is the FP32 bit pattern of -0, the delta the reserved zero byte
+// decodes to: v + (-0) == v for every v, -0 included, so an exact zero
+// delta needs a select rather than a branch around the add.
+const negZero = 0x80000000
+
+// deltaBits returns the FP32 bits of delta byte b in a segment whose minimum
+// exponent is minExp, from the tables of the line's mantissa width.
+func deltaBits(b byte, minExp uint32, signMant, expOff *[256]uint32) uint32 {
+	bits := signMant[b] | (minExp+expOff[b])<<23
+	if b == 0 {
+		bits = negZero
+	}
+	return bits
+}
+
+// decodeLine reconstructs line l into out[0], out[stride], ...,
+// out[(w-1)*stride]: stride 1 writes a CHW row, stride C an HWC column. The
+// decode loop is the paper's "software emulated addition for floating-point
+// numbers": computation in FP32, emission in FP16. It reads only immutable
+// decoder state, so lines decode concurrently.
+func (d *Decoder) decodeLine(l int, out []fp16.Bits, stride int) error {
+	line := d.payload[d.offsets[l]:d.offsets[l+1]]
+	w := d.w
 	switch line[0] {
-	case modeRaw:
-		for i := 0; i < d.w; i++ {
-			v := math.Float32frombits(binary.LittleEndian.Uint32(line[1+4*i:]))
-			out[i] = fp16.FromFloat32(v)
+	case modeRaw: // profile checked len(line) == 1+4*w
+		raw := line[1 : 1+4*w]
+		for x := 0; x < w; x++ {
+			out[x*stride] = fp16.FromFloat32(math.Float32frombits(binary.LittleEndian.Uint32(raw[4*x:])))
 		}
 	case modeConst:
 		v := fp16.FromFloat32(math.Float32frombits(binary.LittleEndian.Uint32(line[1:])))
-		for i := range out {
-			out[i] = v
+		for x := 0; x < w; x++ {
+			out[x*stride] = v
 		}
 	case modeDelta:
-		return d.decodeDeltaLine(line, out)
+		return decodeDeltaLine(line, out[:(w-1)*stride+1], w, stride, &deltaSignMant[d.mantBits], &deltaExpOff[d.mantBits])
 	}
 	return nil
 }
 
-func (d *Decoder) decodeDeltaLine(line []byte, out []fp16.Bits) error {
+// decodeDeltaLine decodes a DELTA line of w values into out at the given
+// stride. Each segment's codes and outputs are sliced once up front, so the
+// per-value loop carries no framing checks.
+func decodeDeltaLine(line []byte, out []fp16.Bits, w, stride int, signMant, expOff *[256]uint32) error {
 	nsegs := int(binary.LittleEndian.Uint16(line[1:]))
-	pos := 3
-	emitted := 0
-	shift := uint(23 - d.mantBits)
-	mantMask := byte(1<<uint(d.mantBits) - 1)
-	expMask := byte(1<<uint(7-d.mantBits) - 1)
+	pos, x := 3, 0
 	for s := 0; s < nsegs; s++ {
 		if pos+7 > len(line) {
 			return errors.New("deltafp: truncated segment header")
 		}
-		pivot := math.Float32frombits(binary.LittleEndian.Uint32(line[pos:]))
-		minExp := line[pos+4]
+		v := math.Float32frombits(binary.LittleEndian.Uint32(line[pos:]))
+		minExp := uint32(line[pos+4])
 		count := int(binary.LittleEndian.Uint16(line[pos+5:]))
 		pos += 7
-		if count < 1 || emitted+count > len(out) || pos+count-1 > len(line) {
+		if count < 1 || x+count > w || pos+count-1 > len(line) {
 			return errors.New("deltafp: segment overruns line")
 		}
-		// The decode loop is the "software emulated addition for
-		// floating-point numbers": computation in FP32, emission in FP16.
-		v := pivot
-		out[emitted] = fp16.FromFloat32(v)
-		emitted++
-		for k := 0; k < count-1; k++ {
-			b := line[pos+k]
-			if b != 0 {
-				sign := uint32(b>>7) << 31
-				off := uint32((b >> uint(d.mantBits)) & expMask)
-				mant := uint32(b & mantMask)
-				bits := sign | (uint32(minExp)+off)<<23 | mant<<shift
-				v += math.Float32frombits(bits)
+		codes := line[pos : pos+count-1]
+		seg := out[x*stride : (x+count-1)*stride+1]
+		seg[0] = fp16.FromFloat32(v)
+		o := 0
+		for _, b := range codes {
+			v += math.Float32frombits(deltaBits(b, minExp, signMant, expOff))
+			h, ok := fp16.FromFloat32Normal(v)
+			if !ok {
+				h = fp16.FromFloat32(v)
 			}
-			out[emitted] = fp16.FromFloat32(v)
-			emitted++
+			o += stride
+			seg[o] = h
 		}
+		x += count
 		pos += count - 1
 	}
-	if emitted != len(out) || pos != len(line) {
+	if x != w || pos != len(line) {
 		return errors.New("deltafp: line did not decode to full width")
 	}
 	return nil

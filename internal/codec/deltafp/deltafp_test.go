@@ -205,10 +205,12 @@ func TestCompressesClimateData(t *testing.T) {
 }
 
 func TestChunkedMatchesSerial(t *testing.T) {
+	// 80 KiB of output: above codec's serial cutoff, so lines really decode
+	// concurrently (and -race watches the shared decoder).
 	cfg := synthetic.DefaultClimateConfig()
 	cfg.Channels = 2
-	cfg.Height = 32
-	cfg.Width = 96
+	cfg.Height = 128
+	cfg.Width = 160
 	s, err := synthetic.GenerateClimate(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -398,11 +400,22 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
-func BenchmarkDecode(b *testing.B) {
+// benchDecodeShapes are the BenchmarkDecode* sample shapes: the long-standing
+// small case and one at the paper's line width (W=1152).
+var benchDecodeShapes = []struct {
+	name    string
+	c, h, w int
+}{
+	{"4x96x384", 4, 96, 384},
+	{"4x96x1152", 4, 96, 1152},
+}
+
+// benchDecoder opens a climate blob of the given shape and returns it with a
+// reusable destination, so the timed loop measures decode, not allocation.
+func benchDecoder(b *testing.B, c, h, w int) (codec.ChunkDecoder, *tensor.Tensor) {
+	b.Helper()
 	cfg := synthetic.DefaultClimateConfig()
-	cfg.Channels = 4
-	cfg.Height = 96
-	cfg.Width = 384
+	cfg.Channels, cfg.Height, cfg.Width = c, h, w
 	s, err := synthetic.GenerateClimate(cfg, 0)
 	if err != nil {
 		b.Fatal(err)
@@ -416,37 +429,35 @@ func BenchmarkDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(s.Data.Bytes()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := codec.Decode(cd); err != nil {
-			b.Fatal(err)
-		}
+	b.ReportAllocs()
+	return cd, tensor.New(cd.OutputDType(), cd.OutputShape()...)
+}
+
+func BenchmarkDecode(b *testing.B) {
+	for _, sh := range benchDecodeShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			cd, dst := benchDecoder(b, sh.c, sh.h, sh.w)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := codec.DecodeInto(cd, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 func BenchmarkDecodeParallel(b *testing.B) {
-	cfg := synthetic.DefaultClimateConfig()
-	cfg.Channels = 4
-	cfg.Height = 96
-	cfg.Width = 384
-	s, err := synthetic.GenerateClimate(cfg, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	blob, err := Encode(s.Data, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cd, err := Format().Open(blob)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(s.Data.Bytes()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := codec.DecodeParallel(cd, 8); err != nil {
-			b.Fatal(err)
-		}
+	for _, sh := range benchDecodeShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			cd, dst := benchDecoder(b, sh.c, sh.h, sh.w)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := codec.DecodeParallelInto(cd, dst, 8); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -2,10 +2,8 @@ package deltafp
 
 import (
 	"fmt"
-	"math"
 
 	"scipp/internal/codec"
-	"scipp/internal/fp16"
 	"scipp/internal/tensor"
 )
 
@@ -61,7 +59,9 @@ func (d *hwcDecoder) Workload() codec.Workload {
 }
 
 // DecodeChunk decodes line chunk (channel ci, row hi) into the strided HWC
-// positions of dst.
+// positions of dst: element (hi, x, ci) lives at (hi*w + x)*c + ci.
+//
+//scipp:hotpath
 func (d *hwcDecoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 	in := d.inner
 	if chunk < 0 || chunk >= in.c*in.h {
@@ -71,37 +71,5 @@ func (d *hwcDecoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 		return fmt.Errorf("deltafp: dst must be F16 %v", d.OutputShape())
 	}
 	ci, hi := chunk/in.h, chunk%in.h
-	line := in.payload[in.offsets[chunk]:in.offsets[chunk+1]]
-	// Destination stride: element (hi, x, ci) lives at (hi*w + x)*c + ci.
-	base := hi * in.w * in.c
-	put := func(x int, v fp16.Bits) { dst.F16s[base+x*in.c+ci] = v }
-
-	switch line[0] {
-	case modeRaw:
-		for x := 0; x < in.w; x++ {
-			v := math.Float32frombits(leU32(line[1+4*x:]))
-			put(x, fp16.FromFloat32(v))
-		}
-	case modeConst:
-		v := fp16.FromFloat32(math.Float32frombits(leU32(line[1:])))
-		for x := 0; x < in.w; x++ {
-			put(x, v)
-		}
-	case modeDelta:
-		// Reuse the contiguous delta reconstruction, then scatter. The
-		// reconstruction itself is the loop-carried part; the scatter is
-		// the fused transpose.
-		tmp := make([]fp16.Bits, in.w)
-		if err := in.decodeDeltaLine(line, tmp); err != nil {
-			return err
-		}
-		for x, v := range tmp {
-			put(x, v)
-		}
-	}
-	return nil
-}
-
-func leU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+	return in.decodeLine(chunk, dst.F16s[hi*in.w*in.c+ci:], in.c)
 }

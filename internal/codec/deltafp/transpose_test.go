@@ -53,10 +53,12 @@ func TestFusedTransposeMatchesSeparatePass(t *testing.T) {
 }
 
 func TestFusedTransposeParallel(t *testing.T) {
+	// 80 KiB of output: above codec's serial cutoff, so lines really decode
+	// concurrently into the strided destination.
 	cfg := synthetic.DefaultClimateConfig()
 	cfg.Channels = 2
-	cfg.Height = 16
-	cfg.Width = 64
+	cfg.Height = 128
+	cfg.Width = 160
 	s, err := synthetic.GenerateClimate(cfg, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,33 @@ const (
 // Values exceeding the binary16 range become infinities; NaN payload top bit
 // is forced so NaNs stay NaNs.
 func FromFloat32(f float32) Bits {
+	if h, ok := FromFloat32Normal(f); ok {
+		return h
+	}
+	return fromFloat32Slow(math.Float32bits(f))
+}
+
+// FromFloat32Normal is FromFloat32's branch-free fast path, small enough to
+// inline into per-value loops: for magnitudes in [2^-14, 2^16), whose
+// binary16 result is normal or rounds up to Inf, it returns
+// FromFloat32(f), true. For every other input (zeros, binary16 subnormals
+// and underflow, overflow, Inf, NaN) it returns false and the caller falls
+// back to FromFloat32.
+func FromFloat32Normal(f float32) (Bits, bool) {
 	b := math.Float32bits(f)
+	a := b & 0x7FFFFFFF
+	// Rebiasing the exponent (127 -> 15) is one subtraction of 112<<23;
+	// adding 0xFFF plus the kept LSB before the shift rounds the 13 dropped
+	// bits to nearest even, and a rounding carry out of the largest finite
+	// value lands exactly on 0x7C00 (Inf).
+	h := Bits(b>>16)&signMask16 | Bits((a-0x38000000+0xFFF+(a>>13)&1)>>13)
+	return h, a-0x38800000 < 0x0F000000
+}
+
+// fromFloat32Slow converts the inputs FromFloat32Normal leaves out: zeros,
+// values that become binary16 subnormals or underflow, values that overflow,
+// Inf and NaN. Normal-range inputs never reach it.
+func fromFloat32Slow(b uint32) Bits {
 	sign := Bits(b>>16) & signMask16
 	exp := int32(b>>23) & 0xFF
 	man := b & 0x7FFFFF
@@ -58,19 +84,6 @@ func FromFloat32(f float32) Bits {
 	switch {
 	case e > 15: // overflow -> Inf
 		return sign | expMask16
-	case e >= -14: // normal range
-		m := man >> 13
-		// Round to nearest even on the 13 dropped bits.
-		rem := man & 0x1FFF
-		half := uint32(0x1000)
-		if rem > half || (rem == half && m&1 == 1) {
-			m++
-		}
-		h := (uint32(e+15) << 10) + m // mantissa carry may bump exponent; that is correct
-		if h >= 0x7C00 {
-			return sign | expMask16
-		}
-		return sign | Bits(h)
 	case e >= -25: // subnormal range (incl. values that may round up to 2^-24)
 		// Implicit leading 1 becomes explicit; shift right by the deficit.
 		man |= 0x800000
@@ -138,7 +151,11 @@ func (h Bits) Neg() Bits { return h ^ signMask16 }
 func FromSlice(dst []Bits, src []float32) {
 	_ = dst[:len(src)]
 	for i, f := range src {
-		dst[i] = FromFloat32(f)
+		h, ok := FromFloat32Normal(f)
+		if !ok {
+			h = fromFloat32Slow(math.Float32bits(f))
+		}
+		dst[i] = h
 	}
 }
 

@@ -234,6 +234,30 @@ func BenchmarkFromFloat32(b *testing.B) {
 	}
 }
 
+// BenchmarkFromSlice converts a mix shaped like decoded climate fields:
+// mostly normal-range values, a share of binary16 subnormals and zeros, and
+// a few overflows to Inf.
+func BenchmarkFromSlice(b *testing.B) {
+	src := make([]float32, 4096)
+	for i := range src {
+		switch {
+		case i%64 == 0:
+			src[i] = 1e5 // overflows to Inf
+		case i%6 == 0:
+			src[i] = float32(i) * 1e-9 // subnormal, zero at i == 0
+		default:
+			src[i] = float32(i) * 0.37
+		}
+	}
+	dst := make([]Bits, len(src))
+	b.SetBytes(int64(len(src) * 4))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		FromSlice(dst, src)
+	}
+}
+
 func BenchmarkToFloat32(b *testing.B) {
 	src := make([]Bits, 4096)
 	for i := range src {
