@@ -62,6 +62,5 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzCacheIntegrity$$' -fuzztime=10s ./internal/pipeline/
 	$(GO) test -run=NONE -fuzz='^FuzzTenantCache$$' -fuzztime=10s ./internal/dataserve/
 	$(GO) test -run=NONE -fuzz='^FuzzBreakerState$$' -fuzztime=10s ./internal/dataserve/
-	$(GO) test -run=NONE -fuzz='^FuzzBlobDecode$$' -fuzztime=10s ./internal/dataserve/
 
 verify: build vet lint test race cover

@@ -25,9 +25,9 @@ var fixtures = []struct {
 	{"fixerr", "scipp/internal/fixerr"},
 	{"fixdir", "scipp/internal/fixdir"},
 	{"fixretry", "scipp/internal/fixretry"},
-	{"fixdistsend", "scipp/internal/dist"},           // dist scope for the abort-escape send rule
-	{"fixstagesend", "scipp/internal/pipeline"},      // pipeline scope for the stage send rule
-	{"fixdataservesend", "scipp/internal/dataserve"}, // dataserve scope for the tenant send rule
+	{"fixdistsend", "scipp/internal/dist"},           // dist scope for the abortsend rule
+	{"fixstagesend", "scipp/internal/pipeline"},      // pipeline scope for the abortsend rule
+	{"fixdataservesend", "scipp/internal/dataserve"}, // dataserve scope for the abortsend rule
 	{"fixhotalloc", "scipp/internal/fixhotalloc"},
 	{"fixshapecontract", "scipp/internal/fixshapecontract"},
 	{"fixpoolleak", "scipp/internal/fixpoolleak"},
@@ -121,6 +121,46 @@ func TestFixtureSeverities(t *testing.T) {
 	}
 	if warnings == 0 || errors == 0 {
 		t.Errorf("want both warnings and errors from fixconc, got %d warnings / %d errors", warnings, errors)
+	}
+}
+
+// TestAbortSendScope loads one bare-send fixture under every package path
+// in the abortsend table, and under one path outside it: each listed
+// package gets its own message for both bare sends, the outsider nothing.
+func TestAbortSendScope(t *testing.T) {
+	root := moduleRoot(t)
+	dir, err := filepath.Abs(filepath.Join("testdata", "fixdistsend"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := []string{"scipp/internal/fixdistsend"}
+	for p := range abortSendMessages {
+		paths = append(paths, p)
+	}
+	for _, path := range paths {
+		l, err := NewLoader(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg, err := l.LoadDir(dir, path)
+		if err != nil {
+			t.Fatalf("loading fixture under %s: %v", path, err)
+		}
+		want, listed := abortSendMessages[path]
+		var n int
+		for _, d := range RunAnalyzers([]*Package{pkg}, []*Analyzer{AbortSend}) {
+			n++
+			if d.Message != want {
+				t.Errorf("%s: message %q, want %q", path, d.Message, want)
+			}
+		}
+		wantN := 0
+		if listed {
+			wantN = 2
+		}
+		if n != wantN {
+			t.Errorf("%s: %d abortsend findings, want %d", path, n, wantN)
+		}
 	}
 }
 

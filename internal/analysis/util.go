@@ -144,8 +144,8 @@ func hasPrefixAny(s string, prefixes ...string) bool {
 
 // reportUnguardedSends flags every channel send in the pass's files that is
 // not the comm of a select clause whose select also offers an escape (a
-// receive case or a default). Shared by the distsend and stagesend rules,
-// which apply the same abort discipline to different packages.
+// receive case or a default). The abortsend rule applies it to each of its
+// packages with that package's message.
 func reportUnguardedSends(pass *Pass, msg string) {
 	for _, f := range pass.Files {
 		// First pass: mark the sends that are the comm of a select clause

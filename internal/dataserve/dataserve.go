@@ -50,8 +50,8 @@ type Config struct {
 	// fair share becomes bytes per round rather than samples per round.
 	// The charge is floored at 1 and capped at the tenant's full
 	// replenishment (Quantum*Weight), so any sample is servable within one
-	// visit. A sample's payload size (serialized decoded tensor plus label)
-	// is learned the first time it is served; until then it is charged unit
+	// visit. A sample's payload size (decoded tensor bytes plus label) is
+	// learned the first time it is served; until then it is charged unit
 	// cost, so a cold service converges to byte fairness within one epoch.
 	// 0 (the default) keeps exact unit-cost dispatch — fixed-shape
 	// workloads see the legacy behavior bit for bit.
@@ -530,8 +530,10 @@ type ServiceStats struct {
 	// Decodes == S and Dedup == (K-1)*S.
 	Decodes, Dedup int64
 	// CacheHits/CacheMisses/CacheQuarantined aggregate the shared caches'
-	// Get outcomes, and Retries the transient-fault retries absorbed by
-	// flight owners (reconciles against an injector log).
+	// Get outcomes (a resident with no recorded layout, such as an outside
+	// Put, counts as a miss and is re-decoded), and Retries the
+	// transient-fault retries absorbed by flight owners (reconciles
+	// against an injector log).
 	CacheHits, CacheMisses, CacheQuarantined, Retries int64
 	// Dispatched counts requests the fair-queueing dispatcher served.
 	Dispatched int64
@@ -539,8 +541,8 @@ type ServiceStats struct {
 	// BreakerRejects the requests fast-failed by open tenant breakers —
 	// neither ever consumed a dispatcher slot or decode worker.
 	Shed, BreakerRejects int64
-	// ServedBytes totals the payload bytes (serialized decoded sample plus
-	// label) successfully served across all tenants — the byte-weighted
+	// ServedBytes totals the payload bytes (decoded sample plus label)
+	// successfully served across all tenants — the byte-weighted
 	// dispatcher's cost basis, so it reconciles against Σ TenantStats.
 	// BytesServed exactly. ShedBytes is the same basis over shed requests
 	// whose sample size was already known (a never-served sample sheds as
@@ -574,11 +576,11 @@ func (s *Service) Stats() ServiceStats {
 	}
 	s.mu.Unlock()
 	for _, sd := range datasets {
-		cs := sd.cache.Stats()
-		st.CacheHits += cs.Hits
-		st.CacheMisses += cs.Misses
-		st.CacheQuarantined += cs.Quarantined
 		sd.mu.Lock()
+		cs := sd.cache.Stats()
+		st.CacheQuarantined += cs.Quarantined
+		st.CacheHits += cs.Hits - sd.strays
+		st.CacheMisses += cs.Misses + sd.strays
 		st.Decodes += sd.decodes
 		st.Dedup += sd.dedup
 		st.Retries += sd.retries

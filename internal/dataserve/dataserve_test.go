@@ -570,3 +570,59 @@ func TestAttachRegisterValidation(t *testing.T) {
 		t.Errorf("Attach on closed service succeeded")
 	}
 }
+
+// TestOutsidePutServedAsMiss covers residents the service never admitted.
+// The cache holds only raw element bits, and the dtype/shape to read them
+// with is recorded when a decode is admitted. A Put through Service.Cache
+// before any decode therefore has no trusted layout; neither does a
+// resident whose length disagrees with the recorded layout. Both must be
+// served as misses and re-decoded bit-identically, and the counters must
+// count them as misses.
+func TestOutsidePutServedAsMiss(t *testing.T) {
+	const samples, batch, seed = 8, 4, 7
+	ds := buildDataset(samples, testShape)
+	reg := obs.NewRegistry()
+	svc := newService(t, ds, reg, dataserve.DatasetConfig{})
+	cache := svc.Cache("shared")
+	for i := 0; i < samples; i++ {
+		cache.Put(i, encodeSamplePayload(refSample(i, testShape)), ds.Labels[i])
+	}
+	tn, err := svc.Attach(dataserve.TenantConfig{Name: "t", Dataset: "shared", Batch: batch, Shuffle: true, Seed: seed})
+	if err != nil {
+		t.Fatalf("Attach: %v", err)
+	}
+
+	check := func(epoch int, decodes, hits, misses int64) {
+		t.Helper()
+		st, ts, snap := svc.Stats(), tn.Stats(), reg.Snapshot()
+		if st.Decodes != decodes || st.CacheHits != hits || st.CacheMisses != misses {
+			t.Errorf("epoch %d: decodes/hits/misses = %d/%d/%d, want %d/%d/%d",
+				epoch, st.Decodes, st.CacheHits, st.CacheMisses, decodes, hits, misses)
+		}
+		if got, want := snap.Counter("dataserve.cache.hits"), st.CacheHits; got != want {
+			t.Errorf("epoch %d: obs cache.hits %d != stats %d", epoch, got, want)
+		}
+		if got, want := snap.Counter("dataserve.cache.misses"), st.CacheMisses; got != want {
+			t.Errorf("epoch %d: obs cache.misses %d != stats %d", epoch, got, want)
+		}
+		if ts.Decodes != st.Decodes || ts.Decodes+ts.HitsOwned+ts.HitsBorrowed+ts.Joins != int64((epoch+1)*samples) {
+			t.Errorf("epoch %d: tenant decodes %d + hits %d + joins %d do not reconcile with %d serves",
+				epoch, ts.Decodes, ts.HitsOwned+ts.HitsBorrowed, ts.Joins, (epoch+1)*samples)
+		}
+	}
+
+	h := uint64(0xcbf29ce484222325)
+	eh, _ := digestBatches(t, tn.Epoch(0))
+	h = fold(h, eh)
+	check(0, samples, 0, samples)
+
+	// A resident whose length disagrees with the recorded layout.
+	cache.Put(3, encodeSamplePayload(refSample(3, testShape))[4:], ds.Labels[3])
+	eh, _ = digestBatches(t, tn.Epoch(1))
+	h = fold(h, eh)
+	check(1, samples+1, samples-1, samples+1)
+
+	if want := loaderDigest(t, ds, batch, true, seed, 2); h != want {
+		t.Errorf("digest %#x != single-tenant twin %#x", h, want)
+	}
+}

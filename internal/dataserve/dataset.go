@@ -23,10 +23,11 @@ type DatasetConfig struct {
 	Data pipeline.Dataset
 	// Format decodes Data's blobs. Required.
 	Format codec.Format
-	// Cache sizes the shared decoded-sample cache. The cached payload is
-	// the serialized decoded tensor, so size tiers for decoded bytes (plus
-	// the small header), not encoded bytes. Integrity checksums and
-	// quarantine semantics are the SampleCache's own.
+	// Cache sizes the shared decoded-sample cache. Each resident is a
+	// decoded sample's raw element bits plus its label, so size tiers for
+	// exactly the decoded bytes plus the label bytes, not encoded bytes.
+	// Integrity checksums and quarantine semantics are the SampleCache's
+	// own.
 	Cache pipeline.CacheConfig
 	// MaxRetries bounds the flight owner's re-reads of a sample that fails
 	// with a fault.Transient error before the failure is delivered to
@@ -44,13 +45,25 @@ type DatasetConfig struct {
 }
 
 // flight is one in-progress decode that concurrent requests for the same
-// sample share: the owner decodes, everyone else blocks on done and takes
-// the serialized result.
+// sample share: the owner decodes, everyone else blocks on done and copies
+// data into a pooled tensor of its own. data is a clone of the decoded
+// tensor, made only when someone joined: the owner's tensor goes to its
+// tenant, which may recycle it while joiners are still copying.
 type flight struct {
-	done  chan struct{}
-	enc   []byte
-	label *tensor.Tensor
-	err   error
+	done    chan struct{}
+	joiners int // guarded by sd.mu while the flight is in sd.flights
+	data    *tensor.Tensor
+	label   *tensor.Tensor
+	err     error
+}
+
+// layout is a decoded sample's dtype and shape. The cache holds only the
+// raw element bits, so the service records the layout when it admits the
+// sample; decode is deterministic, so it never changes.
+type layout struct {
+	dt    tensor.DType
+	shape tensor.Shape
+	bytes int
 }
 
 // sharedDataset is a registered dataset plus the shared decode machinery
@@ -72,6 +85,7 @@ type sharedDataset struct {
 	mu            sync.Mutex
 	flights       map[int]*flight
 	owner         map[int]string              // sample -> tenant whose flight decoded it
+	layouts       map[int]layout              // sample -> decoded layout of its residents
 	touched       map[string]map[int]struct{} // tenant -> samples it has been served
 	poisonVotes   map[int]map[string]struct{} // sample -> tenants whose serve failed
 	poisoned      map[int]struct{}            // the service-wide blacklist
@@ -80,13 +94,14 @@ type sharedDataset struct {
 	retries       int64
 	poisonedCount int64 // == len(poisoned)
 	poisonRejects int64 // fast-fails served off the blacklist
+	strays        int64 // cache hits served as misses: no layout, or wrong length
 
 	// sizeMu guards the learned per-sample payload sizes the byte-weighted
 	// dispatcher prices requests with. It is a leaf lock: taken under
 	// svc.mu (dispatch, shed) and under no lock at all (fetch), and takes
 	// nothing inside it.
 	sizeMu sync.Mutex
-	sizeOf map[int]int // sample index -> payload bytes (blob + label)
+	sizeOf map[int]int // sample index -> payload bytes (data + label)
 }
 
 func newSharedDataset(s *Service, cfg DatasetConfig) (*sharedDataset, error) {
@@ -108,6 +123,7 @@ func newSharedDataset(s *Service, cfg DatasetConfig) (*sharedDataset, error) {
 		poisonK:     cfg.PoisonK,
 		flights:     make(map[int]*flight),
 		owner:       make(map[int]string),
+		layouts:     make(map[int]layout),
 		touched:     make(map[string]map[int]struct{}),
 		poisonVotes: make(map[int]map[string]struct{}),
 		poisoned:    make(map[int]struct{}),
@@ -119,8 +135,8 @@ func newSharedDataset(s *Service, cfg DatasetConfig) (*sharedDataset, error) {
 // learned for the dispatcher's byte-weighted cost (decode is deterministic,
 // so the size is stable across re-decodes) and the bytes are credited to
 // the service and tenant accounting. Called outside sd.mu.
-func (sd *sharedDataset) noteServed(t *Tenant, index int, enc []byte, label *tensor.Tensor) {
-	n := len(enc)
+func (sd *sharedDataset) noteServed(t *Tenant, index int, data, label *tensor.Tensor) {
+	n := data.Bytes()
 	if label != nil {
 		n += label.Bytes()
 	}
@@ -156,8 +172,15 @@ func (sd *sharedDataset) fetch(it *Iterator, index int) (*tensor.Tensor, *tensor
 		return nil, nil, &PoisonError{Dataset: sd.name, Tenant: t.name, Index: index, Tenants: k}
 	}
 	// Hit path: the shared cache verifies integrity under its own lock; a
-	// quarantined resident reports a miss here and re-decodes below.
-	enc, label, hit, quarantined := sd.cache.Get(index)
+	// quarantined resident reports a miss here and re-decodes below. A
+	// resident the service never admitted (an outside Put through
+	// Service.Cache) has no trusted layout, so it is served as a miss too.
+	payload, label, hit, quarantined := sd.cache.Get(index)
+	l, known := sd.layouts[index]
+	if hit && (!known || len(payload) != l.bytes) {
+		hit = false
+		sd.strays++
+	}
 	sd.svc.noteCacheGet(hit, quarantined)
 	if hit {
 		owned := sd.owner[index] == t.name
@@ -168,15 +191,14 @@ func (sd *sharedDataset) fetch(it *Iterator, index int) (*tensor.Tensor, *tensor
 		}
 		sd.mu.Unlock()
 		t.noteHit(owned, first)
-		data, err := sd.materialize(enc)
-		if err != nil {
-			return nil, nil, err
-		}
-		sd.noteServed(t, index, enc, label)
+		data := sd.pool.GetTensor(l.dt, l.shape)
+		copy(data.Raw(), payload)
+		sd.noteServed(t, index, data, label)
 		return data, label, nil
 	}
 	// Join path: someone is already decoding this sample.
 	if f, ok := sd.flights[index]; ok {
+		f.joiners++
 		sd.mu.Unlock()
 		select {
 		case <-f.done:
@@ -199,11 +221,9 @@ func (sd *sharedDataset) fetch(it *Iterator, index int) (*tensor.Tensor, *tensor
 		}
 		sd.mu.Unlock()
 		t.noteJoin(first)
-		data, err := sd.materialize(f.enc)
-		if err != nil {
-			return nil, nil, err
-		}
-		sd.noteServed(t, index, f.enc, f.label)
+		data := sd.pool.GetTensor(f.data.DT, f.data.Shape)
+		copy(data.Raw(), f.data.Raw())
+		sd.noteServed(t, index, data, f.label)
 		return data, f.label, nil
 	}
 	// Owner path: this request decodes for everyone.
@@ -211,13 +231,16 @@ func (sd *sharedDataset) fetch(it *Iterator, index int) (*tensor.Tensor, *tensor
 	sd.flights[index] = f
 	sd.mu.Unlock()
 
-	data, enc, label, retries, err := sd.decode(index)
+	data, label, retries, err := sd.decode(index)
 	sd.mu.Lock()
 	if err == nil {
 		// Admit before the flight disappears: a request that misses both
 		// the cache and the flight table must mean the sample is truly
 		// absent, or the decode count would depend on scheduling.
-		if dropped := sd.cache.Put(index, enc, label); dropped > 0 {
+		if _, ok := sd.layouts[index]; !ok {
+			sd.layouts[index] = layout{dt: data.DT, shape: data.Shape.Clone(), bytes: data.Bytes()}
+		}
+		if dropped := sd.cache.Put(index, data.Raw(), label); dropped > 0 {
 			sd.svc.ob.cacheEvictions.Add(int64(dropped))
 		}
 		sd.owner[index] = t.name
@@ -228,15 +251,19 @@ func (sd *sharedDataset) fetch(it *Iterator, index int) (*tensor.Tensor, *tensor
 	}
 	sd.retries += int64(retries)
 	delete(sd.flights, index)
+	joined := f.joiners > 0
 	sd.mu.Unlock()
-	f.enc, f.label, f.err = enc, label, err
+	if joined && err == nil {
+		f.data = data.Clone()
+	}
+	f.label, f.err = label, err
 	close(f.done)
 	t.noteDecode(retries, err)
 	sd.svc.noteDecode(retries, err)
 	if err != nil {
 		return nil, nil, &SampleError{Dataset: sd.name, Tenant: t.name, Index: index, Err: err}
 	}
-	sd.noteServed(t, index, enc, label)
+	sd.noteServed(t, index, data, label)
 	return data, label, nil
 }
 
@@ -280,14 +307,14 @@ func (sd *sharedDataset) firstTouchLocked(tenant string, index int) bool {
 }
 
 // decode is the flight owner's work: read, open, chunk-decode into a pooled
-// tensor, serialize for the shared cache. Transient faults retry the whole
-// read up to maxRetries, mirroring the pipeline's resilience re-decode, so
-// an injector's transient log entries reconcile one-to-one with retries.
-func (sd *sharedDataset) decode(index int) (data *tensor.Tensor, enc []byte, label *tensor.Tensor, retries int, err error) {
+// tensor. Transient faults retry the whole read up to maxRetries, mirroring
+// the pipeline's resilience re-decode, so an injector's transient log
+// entries reconcile one-to-one with retries.
+func (sd *sharedDataset) decode(index int) (data, label *tensor.Tensor, retries int, err error) {
 	for attempt := 0; ; attempt++ {
-		data, enc, label, err = sd.decodeOnce(index)
+		data, label, err = sd.decodeOnce(index)
 		if err == nil || attempt >= sd.maxRetries || !errors.Is(err, fault.Transient) {
-			return data, enc, label, attempt, err
+			return data, label, attempt, err
 		}
 	}
 }
@@ -295,40 +322,25 @@ func (sd *sharedDataset) decode(index int) (data *tensor.Tensor, enc []byte, lab
 // decodeOnce is one decode attempt, bit-identical to the pipeline's
 // DecodeStage CPU placement: same Open, same pooled destination, same
 // deterministic chunk decomposition.
-func (sd *sharedDataset) decodeOnce(index int) (*tensor.Tensor, []byte, *tensor.Tensor, error) {
+func (sd *sharedDataset) decodeOnce(index int) (*tensor.Tensor, *tensor.Tensor, error) {
 	blob, err := sd.ds.Blob(index)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	label, err := sd.ds.Label(index)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	cd, err := sd.format.Open(blob)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	dst := sd.pool.GetTensor(cd.OutputDType(), cd.OutputShape())
 	err = codec.DecodeParallelInto(cd, dst, sd.cpuWorkers)
 	codec.Recycle(cd)
 	if err != nil {
 		sd.pool.PutTensor(dst)
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return dst, encodeTensor(dst), label, nil
-}
-
-// materialize deserializes a cached/flight payload into the caller's own
-// pooled tensor.
-func (sd *sharedDataset) materialize(enc []byte) (*tensor.Tensor, error) {
-	dt, shape, err := decodeTensorHeader(enc)
-	if err != nil {
-		return nil, err
-	}
-	dst := sd.pool.GetTensor(dt, shape)
-	if err := decodeTensorInto(dst, enc); err != nil {
-		sd.pool.PutTensor(dst)
-		return nil, err
-	}
-	return dst, nil
+	return dst, label, nil
 }

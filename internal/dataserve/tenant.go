@@ -89,8 +89,8 @@ type TenantStats struct {
 	// Shed counts requests dropped past their admission deadline; Skips
 	// the bad samples an epoch survived under MaxBadSamples.
 	Shed, Skips int64
-	// BytesServed totals the payload bytes (serialized decoded sample plus
-	// label) successfully served to this tenant — the byte-weighted
+	// BytesServed totals the payload bytes (decoded sample plus label)
+	// successfully served to this tenant — the byte-weighted
 	// dispatcher's cost basis. Σ over tenants reconciles exactly against
 	// ServiceStats.ServedBytes.
 	BytesServed int64

@@ -527,3 +527,58 @@ func TestConcurrentBarrierCollectiveEviction(t *testing.T) {
 		t.Errorf("evictions = %+v", evs)
 	}
 }
+
+// armSignal is a virtual clock that reports each alarm it arms, so a test
+// can wait until an exchange has taken its abort arm and armed the backstop.
+type armSignal struct {
+	*trace.VirtualClock
+	armed chan struct{}
+}
+
+func (a armSignal) After(t float64) (<-chan struct{}, func()) {
+	a.armed <- struct{}{}
+	return a.VirtualClock.After(t)
+}
+
+// TestExchangeAfterAbort pins sendMsg/recvMsg's post-abort arms, which the
+// collective tests reach only when an eviction happens to land mid-exchange.
+// Under fail-stop the exchange is still completable, so a message that
+// arrives after the abort is delivered; a peer that never drains trips the
+// Timeout backstop with a *RankError.
+func TestExchangeAfterAbort(t *testing.T) {
+	clk := armSignal{&trace.VirtualClock{}, make(chan struct{}, 1)}
+	g, err := New(Config{Ranks: 2, Clock: clk, Timeout: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	abort := make(chan struct{})
+	close(abort)
+	tk := &ticket{ls: newLinkSet(2), abort: abort}
+
+	// Rank 0's inbox is empty, so the abort is recvMsg's only ready arm.
+	type recv struct {
+		in  []float32
+		err error
+	}
+	got := make(chan recv, 1)
+	go func() {
+		in, err := g.recvMsg(tk, 0)
+		got <- recv{in, err}
+	}()
+	<-clk.armed
+	tk.ls.chans[0] <- []float32{7}
+	if r := <-got; r.err != nil || len(r.in) != 1 || r.in[0] != 7 {
+		t.Errorf("recv after abort = %v, %v; want [7], nil", r.in, r.err)
+	}
+
+	// Rank 1's one-slot link is full and nobody drains it.
+	tk.ls.chans[1] <- nil
+	sent := make(chan error, 1)
+	go func() { sent <- g.sendMsg(tk, 1, []float32{1}) }()
+	<-clk.armed
+	clk.Advance(10)
+	var re *RankError
+	if err := <-sent; !errors.As(err, &re) {
+		t.Errorf("stalled send after abort = %v, want *RankError from the backstop", err)
+	}
+}

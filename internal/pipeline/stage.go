@@ -50,7 +50,7 @@ type outcome struct {
 // sendItem delivers v on out unless the epoch aborts first. Every send in
 // the stage machinery goes through here (or an equivalent select): a bare
 // send could block forever once the consumer is gone, wedging the epoch —
-// the same discipline the distsend rule enforces in internal/dist.
+// the discipline the abortsend rule enforces here and in internal/dist.
 //
 //scipp:hotpath
 func sendItem[T any](out chan<- T, v T, abort <-chan struct{}) bool {

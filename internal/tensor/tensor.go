@@ -10,6 +10,7 @@ package tensor
 
 import (
 	"fmt"
+	"unsafe"
 
 	"scipp/internal/fp16"
 )
@@ -150,6 +151,22 @@ func (t *Tensor) Elems() int { return t.Shape.Elems() }
 
 // Bytes returns the payload size in bytes.
 func (t *Tensor) Bytes() int { return t.Elems() * t.DT.Size() }
+
+// Raw views the tensor's element bits as bytes in host byte order, without
+// copying: writes through the view land in the tensor. It returns nil for
+// an empty tensor. This is the package's one use of unsafe, so callers that
+// move whole samples (caches, checksums) never loop element by element.
+func (t *Tensor) Raw() []byte {
+	switch {
+	case t.DT == F32 && len(t.F32s) > 0:
+		return unsafe.Slice((*byte)(unsafe.Pointer(&t.F32s[0])), 4*len(t.F32s))
+	case t.DT == F16 && len(t.F16s) > 0:
+		return unsafe.Slice((*byte)(unsafe.Pointer(&t.F16s[0])), 2*len(t.F16s))
+	case t.DT == I16 && len(t.I16s) > 0:
+		return unsafe.Slice((*byte)(unsafe.Pointer(&t.I16s[0])), 2*len(t.I16s))
+	}
+	return nil
+}
 
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -187,5 +189,53 @@ func TestTransposePropertyPreservesMultiset(t *testing.T) {
 func TestDTypeString(t *testing.T) {
 	if F32.String() != "float32" || F16.String() != "float16" || I16.String() != "int16" {
 		t.Error("DType String names wrong")
+	}
+}
+
+// TestRaw pins the byte view for every dtype: it carries exactly the
+// element bits in host byte order (compared via encoding/binary's native
+// order), is nil for an empty tensor, and aliases the elements, so a write
+// through it is visible in the tensor.
+func TestRaw(t *testing.T) {
+	cases := []struct {
+		x    *Tensor
+		bits []uint64 // element bits, widened
+	}{
+		{FromF32([]float32{1.5, -2, float32(math.Inf(-1)), math.Float32frombits(0x7FC00001)}, 2, 2),
+			[]uint64{0x3FC00000, 0xC0000000, 0xFF800000, 0x7FC00001}},
+		{FromF16([]fp16.Bits{0x3C00, 0x8000, 0x7E01}, 3), []uint64{0x3C00, 0x8000, 0x7E01}},
+		{FromI16([]int16{-32768, -1, 12345}, 3), []uint64{0x8000, 0xFFFF, 12345}},
+	}
+	for _, tc := range cases {
+		raw := tc.x.Raw()
+		size := tc.x.DT.Size()
+		if len(raw) != tc.x.Bytes() {
+			t.Fatalf("%s: Raw is %d bytes, want %d", tc.x.DT, len(raw), tc.x.Bytes())
+		}
+		for i, want := range tc.bits {
+			var got uint64
+			if size == 4 {
+				got = uint64(binary.NativeEndian.Uint32(raw[4*i:]))
+			} else {
+				got = uint64(binary.NativeEndian.Uint16(raw[2*i:]))
+			}
+			if got != want {
+				t.Errorf("%s element %d: raw bits %#x, want %#x", tc.x.DT, i, got, want)
+			}
+		}
+		// Writes through the view land in the tensor.
+		for i := range raw {
+			raw[i] = 0
+		}
+		for i := 0; i < tc.x.Elems(); i++ {
+			if v := tc.x.At32(i); v != 0 {
+				t.Errorf("%s element %d = %v after zeroing the raw view", tc.x.DT, i, v)
+			}
+		}
+	}
+	for _, dt := range []DType{F32, F16, I16} {
+		if raw := New(dt, 2, 0).Raw(); raw != nil {
+			t.Errorf("%s empty tensor: Raw = %v, want nil", dt, raw)
+		}
 	}
 }
